@@ -120,6 +120,16 @@ Status ExecEngine::launch(Group& group, long total_blocks, RangeFn fn,
 
 void ExecEngine::run_shard(const Shard& shard, int slot) {
   Group* group = shard.group;
+  if (std::exception_ptr error =
+          execute(group->fn_, shard.begin, shard.end, slot)) {
+    std::lock_guard<std::mutex> lock(group->error_mutex_);
+    if (group->error_ == nullptr) group->error_ = std::move(error);
+  }
+  group->pending_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+std::exception_ptr ExecEngine::execute(const RangeFn& fn, long begin,
+                                       long end, int slot) {
   if (config_.fault != nullptr) {
     config_.fault->maybe_stall(fault::Point::kExecShard);
   }
@@ -128,20 +138,24 @@ void ExecEngine::run_shard(const Shard& shard, int slot) {
   const SimTime t0 =
       config_.tracer != nullptr ? config_.tracer->begin_span()
                                 : obs::kSpanDisabled;
+  std::exception_ptr error;
   try {
-    group->fn_(shard.begin, shard.end);
+    fn(begin, end);
   } catch (...) {
-    std::lock_guard<std::mutex> lock(group->error_mutex_);
-    if (group->error_ == nullptr) group->error_ = std::current_exception();
+    error = std::current_exception();
   }
   if (config_.tracer != nullptr) {
     config_.tracer->end_span(t0, obs::Phase::kShard, obs::worker_lane(slot),
-                             static_cast<std::int32_t>(shard.end - shard.begin));
+                             static_cast<std::int32_t>(end - begin));
   }
   stats_.shards_executed.fetch_add(1, std::memory_order_relaxed);
   participant_shards_[static_cast<std::size_t>(slot)].fetch_add(
       1, std::memory_order_relaxed);
-  group->pending_.fetch_sub(1, std::memory_order_acq_rel);
+  return error;
+}
+
+int ExecEngine::current_slot() const {
+  return tls_engine == this ? tls_worker : workers();
 }
 
 bool ExecEngine::run_one(int slot, bool take_jobs) {
@@ -200,7 +214,7 @@ bool ExecEngine::run_one(int slot, bool take_jobs) {
 }
 
 void ExecEngine::wait(Group& group) {
-  const int slot = tls_engine == this ? tls_worker : workers();
+  const int slot = current_slot();
   ipc::WaitStrategy waiter(config_.wait);
   while (!group.done()) {
     if (run_one(slot, /*take_jobs=*/false)) continue;
@@ -223,6 +237,19 @@ void ExecEngine::wait(Group& group) {
 
 Status ExecEngine::parallel_for(long total_blocks, const RangeFn& fn,
                                 long max_shards) {
+  if (total_blocks > 0 &&
+      plan_shard_count(total_blocks, workers(), config_.oversubscribe,
+                       max_shards) == 1) {
+    if (stopping_.load(std::memory_order_acquire)) {
+      return FailedPrecondition("exec engine is shut down");
+    }
+    stats_.launches.fetch_add(1, std::memory_order_relaxed);
+    if (std::exception_ptr error =
+            execute(fn, 0, total_blocks, current_slot())) {
+      std::rethrow_exception(error);
+    }
+    return Status::Ok();
+  }
   Group group;
   VGPU_RETURN_IF_ERROR(launch(group, total_blocks, fn, max_shards));
   wait(group);
@@ -256,23 +283,37 @@ void ExecEngine::worker_loop(int index) {
   tls_engine = this;
   tls_worker = index;
   if (config_.tracer != nullptr) config_.tracer->ensure_thread();
-  ipc::WaitStrategy waiter(config_.wait);
+  // Idle rule: spin (config_.wait) only while work keeps arriving — when
+  // the previous idle wait ended within kSpinWindow; otherwise park on the
+  // doorbell at once. Spinning after a long idle stretch burns a core that
+  // the serve loop and clients need when threads outnumber cores, and
+  // parking at once after a short one adds a futex round trip to every
+  // back-to-back job.
+  constexpr auto kSpinWindow = std::chrono::microseconds(100);
+  ipc::WaitStrategy spinner(config_.wait);
+  ipc::WaitConfig park_now = config_.wait;
+  park_now.spin = 0;
+  park_now.yields = 0;
+  ipc::WaitStrategy parker(park_now);
+  bool spin = false;
   ipc::Doorbell door(&door_word_);
   for (;;) {
     if (run_one(index, /*take_jobs=*/true)) continue;
     // Drain-before-exit: shutdown() only stops a worker once no work is
-    // visible, matching the old ThreadPool's destructor semantics.
+    // visible, so external jobs queued before it still run.
     if (stopping_.load(std::memory_order_acquire)) {
       if (!work_available()) return;
       continue;
     }
-    waiter.wait(
-        [this] {
-          return stopping_.load(std::memory_order_acquire) ||
-                 work_available();
-        },
-        &door,
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(10));
+    const auto idle_begin = std::chrono::steady_clock::now();
+    (spin ? spinner : parker)
+        .wait(
+            [this] {
+              return stopping_.load(std::memory_order_acquire) ||
+                     work_available();
+            },
+            &door, idle_begin + std::chrono::milliseconds(10));
+    spin = std::chrono::steady_clock::now() - idle_begin <= kSpinWindow;
   }
 }
 

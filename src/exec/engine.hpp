@@ -11,7 +11,8 @@
 //     are the shard unit, exactly the device's own unit of scheduling;
 //   * shards run on a work-stealing pool: per-worker Chase-Lev deques
 //     (LIFO for the owner, FIFO for thieves) with a global overflow
-//     queue, idle workers parking via the shared ipc::WaitStrategy;
+//     queue, idle workers parking via the shared ipc::WaitStrategy
+//     (spinning first only while work keeps arriving);
 //   * shards-in-flight per launch are capped by the kernel's SM
 //     occupancy (gpu/occupancy.hpp): a grid that could co-schedule at
 //     most K blocks on the modeled device fans out to at most K shards,
@@ -56,7 +57,10 @@ struct ExecConfig {
   /// Target shards per worker per launch; >1 lets stealing even out
   /// shards of uneven cost.
   int oversubscribe = 4;
-  /// Idle-worker parking policy (spin -> yield -> doorbell futex).
+  /// Idle-worker parking policy (spin -> yield -> doorbell futex). A
+  /// worker spins and yields only when its previous idle wait ended within
+  /// 100 us; otherwise it parks on the doorbell at once. Participating
+  /// wait() always uses the full policy.
   ipc::WaitConfig wait;
   /// Optional span tracer (not owned; must outlive the engine). When set
   /// and enabled, every shard records a kShard span on its worker's lane.
@@ -133,7 +137,9 @@ class ExecEngine {
   void wait(Group& group);
 
   /// launch + wait. Errors surface as exceptions (from shards) or a
-  /// non-ok Status (engine shut down).
+  /// non-ok Status (engine shut down). A launch planned as one shard has
+  /// nothing to balance: it runs on the calling thread, counted like any
+  /// other launch and shard.
   Status parallel_for(long total_blocks, const RangeFn& fn,
                       long max_shards = 0);
 
@@ -165,6 +171,13 @@ class ExecEngine {
 
   void worker_loop(int index);
   void run_shard(const Shard& shard, int slot);
+  /// Runs blocks [begin, end) of `fn` as one shard on participant `slot`
+  /// (fault point, span, counters); returns what the body threw, if any.
+  std::exception_ptr execute(const RangeFn& fn, long begin, long end,
+                             int slot);
+  /// The calling thread's participant slot: its worker index, or
+  /// workers() for threads outside the pool.
+  int current_slot() const;
   /// Executes one available shard (and, when `take_jobs`, one external
   /// job). Returns false when nothing was available.
   bool run_one(int slot, bool take_jobs);

@@ -30,29 +30,24 @@ namespace vgpu::exec {
 using FusedStage = RangeFn;
 
 /// Runs `stages` back-to-back per block range, making one pass over the
-/// data. With an engine: a single parallel_for whose shard body applies
-/// every stage to its range (shards steal/balance as usual, capped by
-/// `max_shards` — pass the min of the member kernels' occupancy caps).
-/// Without one (`engine == nullptr`, the serial oracle path): a chunked
-/// loop over the grid with the same per-range stage order.
-inline Status run_fused(ExecEngine* engine, long total_blocks,
+/// data: a single parallel_for (capped by `max_shards` — pass the min of
+/// the member kernels' occupancy caps, or 1 for a one-shard replay) whose
+/// shard body walks its range in `chunk`-block pieces, applying every
+/// stage to a piece while it is cache-hot.
+inline Status run_fused(ExecEngine& engine, long total_blocks,
                         std::span<const FusedStage> stages, long max_shards,
-                        long serial_chunk = 64) {
+                        long chunk = 64) {
   if (total_blocks <= 0 || stages.empty()) return Status::Ok();
-  if (engine != nullptr) {
-    return engine->parallel_for(
-        total_blocks,
-        [&stages](long begin, long end) {
-          for (const auto& stage : stages) stage(begin, end);
-        },
-        max_shards);
-  }
-  const long chunk = std::max<long>(1, serial_chunk);
-  for (long begin = 0; begin < total_blocks; begin += chunk) {
-    const long end = std::min(total_blocks, begin + chunk);
-    for (const auto& stage : stages) stage(begin, end);
-  }
-  return Status::Ok();
+  chunk = std::max<long>(1, chunk);
+  return engine.parallel_for(
+      total_blocks,
+      [&stages, chunk](long begin, long end) {
+        for (long b = begin; b < end; b += chunk) {
+          const long e = std::min(end, b + chunk);
+          for (const auto& stage : stages) stage(b, e);
+        }
+      },
+      max_shards);
 }
 
 }  // namespace vgpu::exec

@@ -128,7 +128,11 @@ Tracer::Ring* Tracer::thread_ring() {
   return tls.ring;
 }
 
-void Tracer::ensure_thread() { (void)thread_ring(); }
+void Tracer::ensure_thread() {
+  // A disabled tracer records nothing, so it pins no ring; record()
+  // registers one lazily if tracing is turned on later.
+  if (enabled()) (void)thread_ring();
+}
 
 void Tracer::record(Phase phase, std::int32_t lane, std::int32_t aux,
                     SimTime begin, SimTime end) {

@@ -113,8 +113,10 @@ class Tracer {
   }
 
   /// Pre-registers the calling thread's ring (the one allocation a thread
-  /// ever performs); idempotent. Call at thread start to keep the hot
-  /// path allocation-free from the first span.
+  /// ever performs) when tracing is enabled; idempotent. Call at thread
+  /// start to keep the hot path allocation-free from the first span. On a
+  /// disabled tracer it does nothing: a thread that never records pins no
+  /// ring, and record() registers one lazily if tracing is enabled later.
   void ensure_thread();
 
   /// Span begin timestamp, or kSpanDisabled when tracing is off.

@@ -232,23 +232,12 @@ Status RtServer::start() {
                                                     /*max_messages=*/8);
   if (!queue.ok()) return queue.status();
   requests_ = std::move(*queue);
-  if (config_.exec == ExecMode::kSharded) {
-    exec::ExecConfig ec;
-    ec.workers = config_.workers;
-    ec.oversubscribe = config_.shard_oversubscribe;
-    ec.tracer = &obs_.tracer();
-    ec.fault = config_.fault;
-    engine_ = std::make_unique<exec::ExecEngine>(ec);
-  } else {
-    pool_ = std::make_unique<ThreadPool>(
-        config_.workers,
-        [this](const char* what) {
-          // Jobs catch their own exceptions; this backstop only fires for
-          // throws outside the kernel try-block.
-          stats_.jobs_failed.fetch_add(1);
-          VGPU_ERROR("rt server: worker job threw: " << what);
-        });
-  }
+  exec::ExecConfig ec;
+  ec.workers = config_.workers;
+  ec.oversubscribe = config_.shard_oversubscribe;
+  ec.tracer = &obs_.tracer();
+  ec.fault = config_.fault;
+  engine_ = std::make_unique<exec::ExecEngine>(ec);
   if (config_.vmem.enabled) {
     if (device_capacity() <= 0) {
       return InvalidArgument(
@@ -283,23 +272,21 @@ void RtServer::stop() {
   shutdown.op = RtOp::kShutdown;
   (void)requests_.send(shutdown);
   if (serve_thread_.joinable()) serve_thread_.join();
-  pool_.reset();  // drains in-flight jobs
-  if (engine_ != nullptr) {
-    // Jobs have completed (clients RLS before stop in the protocol, and
-    // the engine drains before exit); snapshot the counters for printing.
-    engine_->shutdown();
-    const exec::ExecStats& es = engine_->stats();
-    exec_counters_.launches = es.launches.load();
-    exec_counters_.shards_executed = es.shards_executed.load();
-    exec_counters_.steals = es.steals.load();
-    exec_counters_.overflow_pushes = es.overflow_pushes.load();
-    exec_counters_.external_jobs = es.external_jobs.load();
-    exec_counters_.worker_shards.clear();
-    for (int i = 0; i <= engine_->workers(); ++i) {
-      exec_counters_.worker_shards.push_back(engine_->worker_shards(i));
-    }
-    engine_.reset();
+  // Jobs have completed (clients RLS before stop in the protocol, and the
+  // engine drains queued jobs before its workers exit); snapshot the
+  // counters for printing.
+  engine_->shutdown();
+  const exec::ExecStats& es = engine_->stats();
+  exec_counters_.launches = es.launches.load();
+  exec_counters_.shards_executed = es.shards_executed.load();
+  exec_counters_.steals = es.steals.load();
+  exec_counters_.overflow_pushes = es.overflow_pushes.load();
+  exec_counters_.external_jobs = es.external_jobs.load();
+  exec_counters_.worker_shards.clear();
+  for (int i = 0; i <= engine_->workers(); ++i) {
+    exec_counters_.worker_shards.push_back(engine_->worker_shards(i));
   }
+  engine_.reset();
   sessions_.for_each(
       [this](std::uint32_t slot, ClientState&) { sessions_.detach(slot); });
   id_slots_.clear();
@@ -1015,20 +1002,9 @@ void RtServer::handle(const RtRequest& request) {
         // fresh bytes.
         pager_of(client)->host_write(client.alloc_in);
       }
-      if (config_.data_plane == DataPlane::kStaged &&
-          config_.exec == ExecMode::kSerial) {
-        // Stage input: virtual shared memory -> private ("pinned") buffer.
-        const SimTime t0 = obs_.tracer().begin_span();
-        std::memcpy(client.staging_in.data(), client.input_area().data(),
-                    static_cast<std::size_t>(client.bytes_in));
-        obs_.tracer().end_span(t0, obs::Phase::kCopyIn, client.id,
-                               client.kernel_id);
-        stats_.bytes_copied.fetch_add(client.bytes_in);
-      }
-      // Sharded mode defers the staging copy into the job itself, where it
-      // is chunked and overlapped with compute (the serve thread never
-      // blocks on a memcpy). Zero-copy plane: the kernel reads the vsm
-      // directly; SND is a pure protocol ack either way.
+      // The staged plane's copy runs inside the granted job (the client
+      // may not touch its data area between SND and RCV), so the serve
+      // thread never blocks on a memcpy; SND is a pure protocol ack.
       respond(client, RtAck::kAck);
       break;
     }
@@ -1070,18 +1046,7 @@ void RtServer::handle(const RtRequest& request) {
         (void)pager_of(client)->ensure_readable(client.alloc_out);
         pager_of(client)->touch(client.alloc_out);
       }
-      if (config_.data_plane == DataPlane::kStaged &&
-          config_.exec == ExecMode::kSerial && !client.last_job_graph) {
-        // Result: staging buffer -> virtual shared memory (output area).
-        // (Sharded jobs already wrote back, chunked, before completing;
-        // graph replays write the vsm data area directly.)
-        const SimTime t0 = obs_.tracer().begin_span();
-        std::memcpy(client.output_area().data(), client.staging_out.data(),
-                    static_cast<std::size_t>(client.bytes_out));
-        obs_.tracer().end_span(t0, obs::Phase::kCopyOut, client.id,
-                               client.kernel_id);
-        stats_.bytes_copied.fetch_add(client.bytes_out);
-      }
+      // Staged jobs wrote their result back before completing.
       respond(client, RtAck::kAck);
       break;
     }
@@ -1574,8 +1539,6 @@ void RtServer::pump() {
     // One flush per granted batch, matching the DES GVM's accounting
     // (a barrier cohort co-flush counts once).
     stats_.flushes.fetch_add(1);
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(cohort);
     SimTime barrier_begin = kTimeInfinity;  // earliest STR in the cohort
     for (std::size_t i = 0; i < cohort; ++i) {
       const int id = grant_ids_[next++];
@@ -1600,13 +1563,19 @@ void RtServer::pump() {
         scheduler_->set_residency(id, resident);
         pinned_any = true;
       }
+      // Each job is one engine submit: a global-queue push plus a
+      // doorbell ring, which makes a futex call only if a worker parked.
+      Status submitted = Status::Ok();
       if (state->graph_pending >= 0) {
         // A graph grant acks at completion (drain_completions), never at
         // grant time — that is the whole-graph single-ack contract.
-        jobs.push_back(make_graph_job(id, *state));
+        submitted = engine_->submit(make_graph_job(id, *state));
       } else {
-        jobs.push_back(make_job(id, *state));
+        submitted = engine_->submit(make_job(id, *state));
         grant_acks_.push_back(state);
+      }
+      if (!submitted.ok()) {
+        VGPU_ERROR("rt server: job submit failed: " << submitted.to_string());
       }
     }
     if (barrier_begin != kTimeInfinity && obs_.tracer().enabled()) {
@@ -1615,19 +1584,6 @@ void RtServer::pump() {
       obs_.tracer().record(obs::Phase::kFlushBarrier, obs::kLaneServer,
                            static_cast<std::int32_t>(cohort),
                            barrier_begin, obs_.tracer().now());
-    }
-    // One lock + one wakeup for the whole cohort.
-    Status submitted = Status::Ok();
-    if (engine_ != nullptr) {
-      for (auto& job : jobs) {
-        Status st = engine_->submit(std::move(job));
-        if (!st.ok()) submitted = std::move(st);
-      }
-    } else {
-      submitted = pool_->submit_batch(std::move(jobs));
-    }
-    if (!submitted.ok()) {
-      VGPU_ERROR("rt server: job submit failed: " << submitted.to_string());
     }
   }
   for (ClientState* client : grant_acks_) respond(*client, RtAck::kAck);
@@ -1648,45 +1604,22 @@ void RtServer::pump() {
 std::function<void()> RtServer::make_job(int client_id, ClientState& client) {
   VGPU_ASSERT_MSG(client.str_pending, "grant without a pending STR");
   client.str_pending = false;
-  client.last_job_graph = false;
   client.job_done->store(false, std::memory_order_release);
   client.job_failed->store(false, std::memory_order_release);
-  // The job captures raw buffer pointers (and, in sharded mode, the
-  // ClientState pointer — stable: slot entries are heap-held, so attach
-  // churn never moves them); ClientState outlives the job because every
-  // destroy path (RLS linger, lease expiry, re-attach replacement) gates
-  // on job_done, and stop() drains the pool before detaching sessions.
+  // The job captures the ClientState pointer — stable: slot entries are
+  // heap-held, so attach churn never moves them. ClientState outlives the
+  // job because every destroy path (RLS linger, lease expiry, re-attach
+  // replacement) gates on job_done, and stop() drains the engine before
+  // detaching sessions.
   auto done = client.job_done;
   auto failed = client.job_failed;
-  const RtKernelFn* kernel = client.kernel;
-  std::span<const std::byte> in;
-  std::span<std::byte> out;
-  if (config_.data_plane == DataPlane::kZeroCopy) {
-    // Kernels run directly on the client's vsm region: no staging copies
-    // on the job path at all.
-    in = client.input_area();
-    out = client.output_area();
-  } else {
-    in = {client.staging_in.data(), client.staging_in.size()};
-    out = {client.staging_out.data(), client.staging_out.size()};
-  }
-  const std::int64_t* params = client.params;
-  const int kernel_id = client.kernel_id;
   ClientState* state = &client;
-  const bool sharded = engine_ != nullptr;
   ipc::Doorbell door(door_shm_.as<ipc::Doorbell::Word>());
-  return [this, kernel, in, out, params, done, failed, client_id, kernel_id,
-          door, state, sharded]() mutable {
+  return [this, done, failed, client_id, door, state]() mutable {
     jobs_in_flight_.fetch_add(1, std::memory_order_acq_rel);
     bool error = false;
     try {
-      if (sharded) {
-        run_sharded_job(*state);
-      } else {
-        const SimTime t0 = obs_.tracer().begin_span();
-        (*kernel)(in, out, params);
-        obs_.tracer().end_span(t0, obs::Phase::kKernel, client_id, kernel_id);
-      }
+      run_job(*state);
     } catch (const std::exception& e) {
       VGPU_ERROR("rt server: kernel job for client " << client_id
                                                      << " threw: " << e.what());
@@ -1712,21 +1645,32 @@ std::function<void()> RtServer::make_job(int client_id, ClientState& client) {
   };
 }
 
+long RtServer::shard_cap(const RtGeometryFn* geometry,
+                         const std::int64_t* params) const {
+  if (config_.exec == ExecMode::kSerial) return 1;
+  return geometry != nullptr
+             ? exec::occupancy_shard_cap(config_.device, (*geometry)(params))
+             : 0;
+}
+
 void RtServer::copy_chunked(std::byte* dst, const std::byte* src,
                             Bytes total) {
   if (total <= 0) return;
   const Bytes chunk = std::max<Bytes>(1, config_.copy_chunk);
   const long nchunks = ceil_div(total, chunk);
   // Overlap accounting: another job computing while these chunks copy is
-  // exactly the copy/compute overlap the serial path cannot have.
+  // copy/compute overlap across clients.
   const bool overlapped = jobs_in_flight_.load(std::memory_order_acquire) > 1;
-  const Status st = engine_->parallel_for(nchunks, [&](long begin, long end) {
-    for (long k = begin; k < end; ++k) {
-      const Bytes off = k * chunk;
-      const Bytes len = std::min(chunk, total - off);
-      std::memcpy(dst + off, src + off, static_cast<std::size_t>(len));
-    }
-  });
+  const Status st = engine_->parallel_for(
+      nchunks,
+      [&](long begin, long end) {
+        for (long k = begin; k < end; ++k) {
+          const Bytes off = k * chunk;
+          const Bytes len = std::min(chunk, total - off);
+          std::memcpy(dst + off, src + off, static_cast<std::size_t>(len));
+        }
+      },
+      shard_cap(nullptr, nullptr));
   if (!st.ok()) throw std::runtime_error(st.to_string());
   stats_.bytes_copied.fetch_add(total);
   if (overlapped) stats_.overlap_bytes.fetch_add(total);
@@ -1818,16 +1762,15 @@ void RtServer::run_streamed(ClientState& client, const RtStream& stream,
   tracer.end_span(o0, obs::Phase::kCopyOut, client.id, client.kernel_id);
 }
 
-void RtServer::run_sharded_job(ClientState& client) {
+void RtServer::run_job(ClientState& client) {
   const bool staged = config_.data_plane == DataPlane::kStaged;
-  // Occupancy cap: the launch fans out to at most the number of blocks of
-  // this kernel's geometry the modeled device can co-schedule.
-  long cap = 0;
-  if (const RtGeometryFn* geometry = registry_.find_geometry(client.kernel_id);
-      geometry != nullptr) {
-    cap = exec::occupancy_shard_cap(config_.device, (*geometry)(client.params));
-  }
-  if (staged) {
+  // Sharded mode caps the launch at the number of blocks of this kernel's
+  // geometry the modeled device can co-schedule; serial mode at one shard.
+  const long cap =
+      shard_cap(registry_.find_geometry(client.kernel_id), client.params);
+  // The streamed pipeline copies on a second shard while the kernel runs,
+  // so it needs a job whose copies may fan out beyond one worker.
+  if (staged && shard_cap(nullptr, nullptr) != 1) {
     if (const RtStream* stream = registry_.find_stream(client.kernel_id);
         stream != nullptr) {
       run_streamed(client, *stream, cap);
@@ -1869,7 +1812,6 @@ std::function<void()> RtServer::make_graph_job(int client_id,
                                                ClientState& client) {
   VGPU_ASSERT_MSG(client.str_pending, "graph grant without a pending launch");
   client.str_pending = false;
-  client.last_job_graph = true;
   client.job_done->store(false, std::memory_order_release);
   client.job_failed->store(false, std::memory_order_release);
   auto done = client.job_done;
@@ -1929,8 +1871,8 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
   // and the zero-copy and staged replays stay bitwise-identical.
   std::span<std::byte> data = client.data_area();
   const GraphPlan& plan = graph.plan;
-  // run_unit executes on engine worker threads when a level has several
-  // units, so fused-chain heads in one level increment this concurrently.
+  // run_unit executes on engine shards; fused-chain heads in one level
+  // may increment this concurrently.
   std::atomic<long> fused_tails{0};
 
   const auto resolve_params = [&](const RtGraphNode& node,
@@ -1963,15 +1905,10 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
         const RtGraphNode* n = &graph.nodes[k];
         const RtStream* stream = registry_.find_stream(n->kernel_id);
         grid = stream->grid(n->params);
-        if (const RtGeometryFn* geometry =
-                registry_.find_geometry(n->kernel_id);
-            geometry != nullptr) {
-          const long member_cap =
-              exec::occupancy_shard_cap(config_.device,
-                                        (*geometry)(n->params));
-          if (member_cap > 0) {
-            cap = cap > 0 ? std::min(cap, member_cap) : member_cap;
-          }
+        const long member_cap =
+            shard_cap(registry_.find_geometry(n->kernel_id), n->params);
+        if (member_cap > 0) {
+          cap = cap > 0 ? std::min(cap, member_cap) : member_cap;
         }
         const std::span<const std::byte> in = data.subspan(
             static_cast<std::size_t>(n->src_offset),
@@ -1984,7 +1921,7 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
         });
       }
       const Status st = exec::run_fused(
-          engine_.get(), grid, {stages.data(), stages.size()}, cap);
+          *engine_, grid, {stages.data(), stages.size()}, cap);
       if (!st.ok()) throw std::runtime_error(st.to_string());
       fused_tails.fetch_add(static_cast<long>(stages.size()) - 1,
                             std::memory_order_relaxed);
@@ -1999,14 +1936,11 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
     const std::span<std::byte> out =
         data.subspan(static_cast<std::size_t>(node.dst_offset),
                      static_cast<std::size_t>(node.dst_bytes));
-    long cap = 0;
-    if (const RtGeometryFn* geometry = registry_.find_geometry(node.kernel_id);
-        geometry != nullptr) {
-      cap = exec::occupancy_shard_cap(config_.device, (*geometry)(params));
-    }
-    const RtShardedKernelFn* sharded =
-        engine_ != nullptr ? registry_.find_sharded(node.kernel_id) : nullptr;
-    if (sharded != nullptr) {
+    if (const RtShardedKernelFn* sharded =
+            registry_.find_sharded(node.kernel_id);
+        sharded != nullptr) {
+      const long cap =
+          shard_cap(registry_.find_geometry(node.kernel_id), params);
       (*sharded)(in, out, params, engine_->executor(cap));
     } else {
       (*registry_.find(node.kernel_id))(in, out, params);
@@ -2015,8 +1949,9 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
   };
 
   // Level-ordered replay: nodes of one level are mutually unordered
-  // (validated conflict-free), so the engine runs them concurrently; a
-  // fused chain executes as one unit at its head's level.
+  // (validated conflict-free), so each level is one parallel_for over its
+  // units (one shard in serial mode); a fused chain executes as one unit
+  // at its head's level.
   std::vector<int> units;
   for (int level = 0; level < plan.level_count; ++level) {
     units.clear();
@@ -2025,19 +1960,16 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
         units.push_back(i);
       }
     }
-    if (engine_ != nullptr && units.size() > 1) {
-      exec::ExecEngine::Group group;
-      for (const int idx : units) {
-        const Status st =
-            engine_->launch(group, 1, [&run_unit, idx](long, long) {
-              run_unit(idx);
-            });
-        if (!st.ok()) throw std::runtime_error(st.to_string());
-      }
-      engine_->wait(group);  // rethrows the first unit exception
-    } else {
-      for (const int idx : units) run_unit(idx);
-    }
+    // parallel_for rethrows the first unit exception.
+    const Status st = engine_->parallel_for(
+        static_cast<long>(units.size()),
+        [&](long begin, long end) {
+          for (long u = begin; u < end; ++u) {
+            run_unit(units[static_cast<std::size_t>(u)]);
+          }
+        },
+        shard_cap(nullptr, nullptr));
+    if (!st.ok()) throw std::runtime_error(st.to_string());
   }
   if (const long tails = fused_tails.load(std::memory_order_relaxed);
       tails > 0) {

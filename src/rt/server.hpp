@@ -41,7 +41,6 @@
 #include "rt/messages.hpp"
 #include "rt/registry.hpp"
 #include "rt/session.hpp"
-#include "rt/thread_pool.hpp"
 #include "sched/admission.hpp"
 #include "sched/placement.hpp"
 #include "sched/scheduler.hpp"
@@ -68,14 +67,16 @@ const char* data_plane_name(DataPlane plane);
 /// Parses the CLI spelling ("staged" | "zero_copy").
 bool parse_data_plane(const std::string& text, DataPlane* out);
 
-/// How granted kernels execute on the worker pool.
+/// How far one granted job fans out on the execution engine. Both modes
+/// run every job on the same engine; the mode only picks the job's shard
+/// cap.
 enum class ExecMode : std::int32_t {
-  /// One serial job per granted kernel (pre-engine behaviour; a launch
-  /// never uses more than one core).
+  /// Every launch and staged copy of a job is one shard, so a job never
+  /// occupies more than one worker.
   kSerial = 0,
-  /// Grid-sharded execution on the work-stealing engine: each launch fans
-  /// out into block-range shards capped by modeled SM occupancy, and the
-  /// staged data plane's copies are chunked and overlapped with compute.
+  /// Grid-sharded: each launch fans out into block-range shards capped by
+  /// modeled SM occupancy, and the staged data plane's copies are chunked
+  /// across workers and overlapped with compute.
   kSharded = 1,
 };
 
@@ -116,8 +117,9 @@ struct RtServerConfig {
   /// Sharded mode: target shards per worker per launch (engine
   /// oversubscription; stealing evens out shard-cost skew).
   int shard_oversubscribe = 4;
-  /// Sharded + staged: copy-chunk granularity for the overlapped
-  /// stage-in/write-back path.
+  /// Staged: copy-chunk granularity of the stage-in/write-back copies
+  /// (sharded mode spreads the chunks across workers and overlaps them
+  /// with compute).
   Bytes copy_chunk = 256 * kKiB;
   /// Modeled device for occupancy shard caps (sharded mode).
   gpu::DeviceSpec device = gpu::tesla_c2070();
@@ -218,8 +220,9 @@ struct RtServerStats {
   /// Serve-loop futex parks.
   std::atomic<long> doorbell_blocks{0};
   /// Data-plane bytes whose copy ran while the engine had other compute
-  /// in flight (sharded mode: the chunked-overlap payoff; 0 in serial
-  /// mode, where every copy serializes against compute).
+  /// in flight. Sharded mode adds the streamed pipeline's in-job overlap;
+  /// in serial mode a job's copies serialize against its own kernel, so
+  /// this counts only copies that ran beside other clients' jobs.
   std::atomic<long> overlap_bytes{0};
   /// Kernel jobs that raised an exception (surfaced to the client as an
   /// RtAck::kError at STP instead of terminating the server).
@@ -301,7 +304,8 @@ struct RtServerStats {
 };
 
 /// Snapshot of the execution engine's counters, captured at stop() (the
-/// engine itself is torn down with the serve loop).
+/// engine itself is torn down with the serve loop). Live in both exec
+/// modes: serial mode runs one shard per launch.
 struct RtExecCounters {
   long launches = 0;
   long shards_executed = 0;
@@ -329,8 +333,8 @@ class RtServer {
 
   const RtServerStats& stats() const { return stats_; }
   const RtServerConfig& config() const { return config_; }
-  /// Execution-engine counters; meaningful after stop() in sharded mode
-  /// (all zeros in serial mode).
+  /// Execution-engine counters; meaningful after stop(), in both exec
+  /// modes (serial mode shows one shard per launch).
   const RtExecCounters& exec_counters() const { return exec_counters_; }
   /// Scheduler counters; read after stop() (the serve thread owns the
   /// scheduler while running).
@@ -435,9 +439,6 @@ class RtServer {
     /// fell back to STP polling (last_seq moved past graph_launch_seq).
     bool graph_ack_deferred = false;
     std::int64_t graph_launch_seq = 0;
-    /// True while the most recent job was a graph replay: STP must not
-    /// write back staging bytes the replay never produced.
-    bool last_job_graph = false;
 
     std::span<std::byte> input_area() {
       return region.subspan(data_offset, static_cast<std::size_t>(bytes_in));
@@ -491,28 +492,34 @@ class RtServer {
   /// one, else over the client's P_resp<k> queue.
   void handshake_reply(const RtRequest& request, RtAck ack,
                        std::int64_t arena_offset);
-  /// Drains scheduler grants: dispatches every granted client's job batch
-  /// to the worker pool and ACKs the STRs.
+  /// Drains scheduler grants: submits every granted client's job to the
+  /// engine and ACKs the STRs.
   void pump();
-  /// Builds the worker-pool job for a granted client (marks it busy).
+  /// Builds the engine job for a granted client (marks it busy).
   std::function<void()> make_job(int client_id, ClientState& client);
   /// Graph-grant variant: one job replays the whole cached DAG; the ack
   /// is deferred to completion (no grant-time STR ack).
   std::function<void()> make_graph_job(int client_id, ClientState& client);
-  /// Replays a graph over the client's data area: level-ordered (nodes of
-  /// one level run concurrently under the engine), elementwise chains
-  /// fused through exec::run_fused, per-node kGraphNode spans nested in
-  /// one kGraph span.
+  /// Replays a graph over the client's data area: level-ordered (the
+  /// units of one level run as one parallel_for, capped by shard_cap),
+  /// elementwise chains fused through exec::run_fused, per-node
+  /// kGraphNode spans nested in one kGraph span.
   void run_graph_job(ClientState& client, const RtGraph& graph,
                      const std::int64_t* bindings);
-  /// Job body for sharded mode: chunked stage-in, engine-sharded kernel,
-  /// chunked write-back (runs on an engine worker).
-  void run_sharded_job(ClientState& client);
+  /// Job body (runs on an engine worker): chunked stage-in, the kernel on
+  /// the engine, chunked write-back, each capped by shard_cap.
+  void run_job(ClientState& client);
+  /// Shards one launch or copy of a job may fan out to (0 = uncapped).
+  /// Serial mode: 1, so a job never occupies more than one worker.
+  /// Sharded mode: the kernel's modeled occupancy when `geometry` is
+  /// given, else uncapped (copies and graph levels pass none).
+  long shard_cap(const RtGeometryFn* geometry,
+                 const std::int64_t* params) const;
   /// Pipelined elementwise path: copy chunk k+1's input slices while
   /// chunk k computes (double-buffered copy/compute overlap).
   void run_streamed(ClientState& client, const RtStream& stream, long cap);
-  /// Chunked memcpy on the engine; counts overlap when other jobs are in
-  /// flight.
+  /// Chunked memcpy on the engine, capped by shard_cap; counts overlap
+  /// when other jobs are in flight.
   void copy_chunked(std::byte* dst, const std::byte* src, Bytes total);
   /// Feeds worker-thread job completions back into the scheduler (serve
   /// thread only).
@@ -613,8 +620,7 @@ class RtServer {
   std::mutex completions_mutex_;
   std::vector<int> completions_;  // worker -> serve thread job completions
   std::atomic<int> pending_completions_{0};
-  std::unique_ptr<ThreadPool> pool_;             // serial mode
-  std::unique_ptr<exec::ExecEngine> engine_;     // sharded mode
+  std::unique_ptr<exec::ExecEngine> engine_;
   std::atomic<int> jobs_in_flight_{0};
   RtExecCounters exec_counters_;
   std::thread serve_thread_;

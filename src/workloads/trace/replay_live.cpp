@@ -256,11 +256,18 @@ StatusOr<ReplayResult> replay_live(const Trace& trace,
           .count();
 
   // Let the serve loop GC the lingering released sessions, then sample
-  // the slot ledger while the server is still the slots' owner.
-  std::this_thread::sleep_for(config.release_linger +
-                              4 * config.lease_check_interval +
-                              std::chrono::milliseconds(100));
+  // the slot ledger while the server is still the slots' owner. Poll
+  // instead of sleeping a fixed time: a serve loop slowed by host load
+  // recycles late, not never, so only sessions still attached at the
+  // deadline count as leaked.
   const rt::RtServerStats& stats = server.stats();
+  const auto recycle_deadline = Clock::now() + config.release_linger +
+                                4 * config.lease_check_interval +
+                                std::chrono::seconds(3);
+  while (stats.slots_recycled.load() < stats.sessions_attached.load() &&
+         Clock::now() < recycle_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   result.leaked_slots =
       stats.sessions_attached.load() - stats.slots_recycled.load();
   result.leaked_segments = leaked_segments(config.prefix);

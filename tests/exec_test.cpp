@@ -207,12 +207,21 @@ TEST(ExecEngine, ShardExceptionPropagatesToWaiter) {
 }
 
 TEST(ExecEngine, SubmitRunsExternalJob) {
-  ExecEngine engine;
+  ExecConfig config;
+  config.workers = 1;
+  ExecEngine engine(config);
   std::atomic<bool> ran{false};
   ASSERT_TRUE(engine.submit([&] { ran.store(true); }).ok());
   while (!ran.load()) std::this_thread::yield();
+  // A throwing job is caught on its worker instead of terminating the
+  // process: the engine survives, and its one worker runs the next job.
+  std::atomic<bool> after{false};
+  ASSERT_TRUE(
+      engine.submit([] { throw std::runtime_error("job boom"); }).ok());
+  ASSERT_TRUE(engine.submit([&] { after.store(true); }).ok());
+  while (!after.load()) std::this_thread::yield();
   engine.shutdown();
-  EXPECT_EQ(engine.stats().external_jobs.load(), 1);
+  EXPECT_EQ(engine.stats().external_jobs.load(), 3);
 }
 
 TEST(ExecEngine, LaunchAfterShutdownReturnsFailedPrecondition) {

@@ -430,86 +430,91 @@ TEST(GraphReplay, MgIterationChainMatchesPerLaunchAndBuiltin) {
   EXPECT_GE(server.stats().graph_messages_saved.load(), 4 * 4 - 1);
 }
 
+// The three feedback copies of an iteration share one level, so the
+// sharded pass replays a multi-unit level across workers.
 TEST(GraphReplay, CgIterationChainMatchesPerLaunchAndSolver) {
-  const std::string prefix = unique_prefix("cg");
-  RtServer server(server_config(prefix, 1, 2), builtin_registry());
-  ASSERT_TRUE(server.start().ok());
-  {
-    const int n = 256;
-    const int nz = 6;
-    const int iters = 5;
-    const std::int64_t vec = static_cast<std::int64_t>(n) * 8;
-    const int cg_step = kernel_id("cg_step");
-    const std::int64_t params[4] = {n, nz, 0, 0};
-    // b = 1 (the NPB-style all-ones right-hand side).
-    std::vector<double> b(static_cast<std::size_t>(n), 1.0);
+  for (const ExecMode exec : {ExecMode::kSerial, ExecMode::kSharded}) {
+    const std::string prefix =
+        unique_prefix(exec == ExecMode::kSerial ? "cg_s" : "cg_e");
+    RtServer server(server_config(prefix, 1, 2, exec), builtin_registry());
+    ASSERT_TRUE(server.start().ok());
+    {
+      const int n = 256;
+      const int nz = 6;
+      const int iters = 5;
+      const std::int64_t vec = static_cast<std::int64_t>(n) * 8;
+      const int cg_step = kernel_id("cg_step");
+      const std::int64_t params[4] = {n, nz, 0, 0};
+      // b = 1 (the NPB-style all-ones right-hand side).
+      std::vector<double> b(static_cast<std::size_t>(n), 1.0);
 
-    const auto seed_input = [&](RtClient& client) {
-      auto* d = reinterpret_cast<double*>(client.input().data());
-      for (int i = 0; i < n; ++i) {
-        d[i] = b[static_cast<std::size_t>(i)];          // b
-        d[n + i] = 0.0;                                 // x = 0
-        d[2 * n + i] = b[static_cast<std::size_t>(i)];  // r = b
-        d[3 * n + i] = b[static_cast<std::size_t>(i)];  // p = b
+      const auto seed_input = [&](RtClient& client) {
+        auto* d = reinterpret_cast<double*>(client.input().data());
+        for (int i = 0; i < n; ++i) {
+          d[i] = b[static_cast<std::size_t>(i)];          // b
+          d[n + i] = 0.0;                                 // x = 0
+          d[2 * n + i] = b[static_cast<std::size_t>(i)];  // r = b
+          d[3 * n + i] = b[static_cast<std::size_t>(i)];  // p = b
+        }
+      };
+
+      // Per-launch oracle with client-side feedback copies.
+      auto serial = RtClient::connect(prefix, 0, 4 * vec, 3 * vec);
+      ASSERT_TRUE(serial.ok());
+      ASSERT_TRUE(serial->req(cg_step, params).ok());
+      seed_input(*serial);
+      for (int it = 0; it < iters; ++it) {
+        ASSERT_TRUE(serial->snd().ok());
+        ASSERT_TRUE(serial->str().ok());
+        ASSERT_TRUE(serial->wait_done().ok());
+        ASSERT_TRUE(serial->rcv().ok());
+        // x' r' p' back into the x r p slots.
+        std::memcpy(serial->input().data() + vec, serial->output().data(),
+                    static_cast<std::size_t>(3 * vec));
       }
-    };
+      std::vector<std::byte> expected(serial->output().begin(),
+                                      serial->output().end());
+      ASSERT_TRUE(serial->rls().ok());
 
-    // Per-launch oracle with client-side feedback copies.
-    auto serial = RtClient::connect(prefix, 0, 4 * vec, 3 * vec);
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(serial->req(cg_step, params).ok());
-    seed_input(*serial);
-    for (int it = 0; it < iters; ++it) {
-      ASSERT_TRUE(serial->snd().ok());
-      ASSERT_TRUE(serial->str().ok());
-      ASSERT_TRUE(serial->wait_done().ok());
-      ASSERT_TRUE(serial->rcv().ok());
-      // x' r' p' back into the x r p slots.
-      std::memcpy(serial->input().data() + vec, serial->output().data(),
-                  static_cast<std::size_t>(3 * vec));
-    }
-    std::vector<std::byte> expected(serial->output().begin(),
-                                    serial->output().end());
-    ASSERT_TRUE(serial->rls().ok());
-
-    // Graph client: kernel + three feedback copies per iteration.
-    auto graph = RtClient::connect(prefix, 1, 4 * vec, 3 * vec);
-    ASSERT_TRUE(graph.ok());
-    ASSERT_TRUE(graph->req(cg_step, params).ok());
-    ASSERT_TRUE(graph->begin_capture().ok());
-    std::vector<int> prev;  // the previous iteration's copy nodes
-    for (int it = 0; it < iters; ++it) {
-      auto k = graph->capture_kernel(
-          cg_step, params, 0, 4 * vec, 4 * vec, 3 * vec,
-          std::span<const int>(prev.data(), prev.size()));
-      ASSERT_TRUE(k.ok()) << k.status().to_string();
-      prev.clear();
-      if (it + 1 < iters) {
-        const int dep[1] = {*k};
-        for (int slot = 0; slot < 3; ++slot) {  // x' r' p' -> x r p
-          auto c = graph->capture_copy((4 + slot) * vec, (1 + slot) * vec,
-                                       vec, dep);
-          ASSERT_TRUE(c.ok()) << c.status().to_string();
-          prev.push_back(*c);
+      // Graph client: kernel + three feedback copies per iteration.
+      auto graph = RtClient::connect(prefix, 1, 4 * vec, 3 * vec);
+      ASSERT_TRUE(graph.ok());
+      ASSERT_TRUE(graph->req(cg_step, params).ok());
+      ASSERT_TRUE(graph->begin_capture().ok());
+      std::vector<int> prev;  // the previous iteration's copy nodes
+      for (int it = 0; it < iters; ++it) {
+        auto k = graph->capture_kernel(
+            cg_step, params, 0, 4 * vec, 4 * vec, 3 * vec,
+            std::span<const int>(prev.data(), prev.size()));
+        ASSERT_TRUE(k.ok()) << k.status().to_string();
+        prev.clear();
+        if (it + 1 < iters) {
+          const int dep[1] = {*k};
+          for (int slot = 0; slot < 3; ++slot) {  // x' r' p' -> x r p
+            auto c = graph->capture_copy((4 + slot) * vec, (1 + slot) * vec,
+                                         vec, dep);
+            ASSERT_TRUE(c.ok()) << c.status().to_string();
+            prev.push_back(*c);
+          }
         }
       }
-    }
-    ASSERT_TRUE(graph->end_capture().ok());
-    ASSERT_TRUE(graph->upload_graph(3).ok());
-    seed_input(*graph);
-    ASSERT_TRUE(graph->launch_graph(3).ok());
-    EXPECT_EQ(0, std::memcmp(graph->output().data(), expected.data(),
-                             expected.size()));
+      ASSERT_TRUE(graph->end_capture().ok());
+      ASSERT_TRUE(graph->upload_graph(3).ok());
+      seed_input(*graph);
+      ASSERT_TRUE(graph->launch_graph(3).ok());
+      EXPECT_EQ(0, std::memcmp(graph->output().data(), expected.data(),
+                               expected.size()));
 
-    // The x' column equals cg_solve after the same iteration count.
-    const kernels::CsrMatrix a = kernels::cg_make_matrix(n, nz, 10.0);
-    std::vector<double> x(static_cast<std::size_t>(n));
-    kernels::cg_solve(a, b, x, iters);
-    EXPECT_EQ(0, std::memcmp(graph->output().data(), x.data(),
-                             static_cast<std::size_t>(vec)));
-    ASSERT_TRUE(graph->rls().ok());
+      // The x' column equals cg_solve after the same iteration count.
+      const kernels::CsrMatrix a = kernels::cg_make_matrix(n, nz, 10.0);
+      std::vector<double> x(static_cast<std::size_t>(n));
+      kernels::cg_solve(a, b, x, iters);
+      EXPECT_EQ(0, std::memcmp(graph->output().data(), x.data(),
+                               static_cast<std::size_t>(vec)));
+      ASSERT_TRUE(graph->rls().ok());
+    }
+    server.stop();
   }
-  server.stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -239,6 +239,34 @@ TEST(Tracer, ConcurrentWritersKeepEverySpanWhenRingsAreLargeEnough) {
   EXPECT_EQ(tracer.dropped(), 0);
 }
 
+// ensure_thread() on a disabled tracer pins no ring; a thread that
+// called it then still gets its spans collected once tracing is enabled,
+// because record() registers the ring lazily.
+TEST(Tracer, EnsureThreadWhileDisabledStillRecordsAfterEnable) {
+  Tracer tracer(TracerConfig{});
+  ASSERT_FALSE(tracer.enabled());
+  std::atomic<bool> ensured{false};
+  std::atomic<bool> enabled{false};
+  std::thread worker([&] {
+    tracer.ensure_thread();
+    ensured.store(true);
+    while (!enabled.load()) std::this_thread::yield();
+    const SimTime begin = tracer.begin_span();
+    tracer.end_span(begin, Phase::kShard, worker_lane(0), 5);
+  });
+  while (!ensured.load()) std::this_thread::yield();
+  tracer.enable(true);
+  enabled.store(true);
+  worker.join();
+
+  const std::vector<SpanRecord> spans = tracer.collect();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].phase, Phase::kShard);
+  EXPECT_EQ(spans[0].lane, worker_lane(0));
+  EXPECT_EQ(spans[0].aux, 5);
+  EXPECT_EQ(tracer.dropped(), 0);
+}
+
 TEST(Tracer, PhaseAndLaneNames) {
   EXPECT_STREQ(phase_name(Phase::kQueueWait), "queue_wait");
   EXPECT_STREQ(phase_name(Phase::kKernel), "kernel");

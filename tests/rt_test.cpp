@@ -23,7 +23,6 @@
 #include "rt/client.hpp"
 #include "rt/registry.hpp"
 #include "rt/server.hpp"
-#include "rt/thread_pool.hpp"
 
 namespace vgpu::rt {
 namespace {
@@ -107,7 +106,9 @@ TEST(RtServer, FourConcurrentClientThreads) {
   ASSERT_TRUE(server.start().ok());
 
   std::vector<std::thread> threads;
-  std::vector<bool> ok(kClients, false);
+  // One element per client thread: std::vector<bool> packs its elements
+  // into shared words, so concurrent writes to it would race.
+  std::vector<char> ok(kClients, 0);
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       ok[static_cast<std::size_t>(c)] = run_vecadd_client(prefix, c, 2048);
@@ -433,73 +434,51 @@ TEST(RtServer, RingTransportForkedProcessClients) {
   EXPECT_GT(server.stats().ring_requests.load(), 0);
 }
 
-TEST(RtThreadPool, SubmitAfterShutdownReturnsFailedPrecondition) {
-  ThreadPool pool(1);
-  std::atomic<bool> ran{false};
-  ASSERT_TRUE(pool.submit([&] { ran.store(true); }).ok());
-  pool.shutdown();
-  EXPECT_TRUE(ran.load());  // shutdown drains queued jobs
-  const Status st = pool.submit([] {});
-  EXPECT_EQ(st.code(), ErrorCode::kFailedPrecondition);
-  std::vector<std::function<void()>> batch;
-  batch.emplace_back([] {});
-  EXPECT_EQ(pool.submit_batch(std::move(batch)).code(),
-            ErrorCode::kFailedPrecondition);
-}
-
-TEST(RtThreadPool, JobExceptionReachesHandlerNotTerminate) {
-  std::atomic<int> errors{0};
-  std::string what;
-  std::mutex mu;
-  {
-    ThreadPool pool(1, [&](const char* w) {
-      std::lock_guard<std::mutex> lock(mu);
-      what = w;
-      errors.fetch_add(1);
-    });
-    ASSERT_TRUE(
-        pool.submit([] { throw std::runtime_error("job boom"); }).ok());
-    pool.shutdown();
-  }
-  EXPECT_EQ(errors.load(), 1);
-  EXPECT_EQ(what, "job boom");
-}
-
-/// Sharded-mode servers must serve the same protocol with the same
-/// results, on both transports and both data planes.
+/// Both exec modes must serve the same protocol with the same results, on
+/// both transports and both data planes. Serial mode runs on the same
+/// engine, one shard per launch and per staged copy.
 TEST(RtServer, ShardedExecServesClientsCorrectly) {
-  for (const auto transport :
-       {ipc::TransportKind::kMessageQueue, ipc::TransportKind::kShmRing}) {
-    for (const auto plane : {DataPlane::kStaged, DataPlane::kZeroCopy}) {
-      const std::string prefix = unique_prefix("shardex");
-      RtServerConfig config = server_config(prefix, 2, 2, transport, plane);
-      config.exec = ExecMode::kSharded;
-      RtServer server(config, builtin_registry());
-      ASSERT_TRUE(server.start().ok());
-      std::vector<std::thread> threads;
-      std::atomic<int> ok_count{0};
-      RtClientOptions options;
-      options.transport = transport;
-      for (int id = 0; id < 2; ++id) {
-        threads.emplace_back([&, id] {
-          if (run_vecadd_client(prefix, id, 100000, options)) {
-            ok_count.fetch_add(1);
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-      server.stop();
-      EXPECT_EQ(ok_count.load(), 2)
-          << ipc::transport_name(transport) << "/" << data_plane_name(plane);
-      const RtExecCounters& e = server.exec_counters();
-      EXPECT_GT(e.shards_executed, 0);
-      long histogram_sum = 0;
-      for (const long c : e.worker_shards) histogram_sum += c;
-      EXPECT_EQ(histogram_sum, e.shards_executed);
-      if (plane == DataPlane::kStaged) {
-        EXPECT_GT(server.stats().bytes_copied.load(), 0);
-      } else {
-        EXPECT_EQ(server.stats().bytes_copied.load(), 0);
+  for (const auto mode : {ExecMode::kSerial, ExecMode::kSharded}) {
+    for (const auto transport :
+         {ipc::TransportKind::kMessageQueue, ipc::TransportKind::kShmRing}) {
+      for (const auto plane : {DataPlane::kStaged, DataPlane::kZeroCopy}) {
+        const std::string prefix = unique_prefix("shardex");
+        RtServerConfig config = server_config(prefix, 2, 2, transport, plane);
+        config.exec = mode;
+        RtServer server(config, builtin_registry());
+        ASSERT_TRUE(server.start().ok());
+        std::vector<std::thread> threads;
+        std::atomic<int> ok_count{0};
+        RtClientOptions options;
+        options.transport = transport;
+        for (int id = 0; id < 2; ++id) {
+          threads.emplace_back([&, id] {
+            if (run_vecadd_client(prefix, id, 100000, options)) {
+              ok_count.fetch_add(1);
+            }
+          });
+        }
+        for (auto& t : threads) t.join();
+        server.stop();
+        const std::string label = std::string(exec_mode_name(mode)) + "/" +
+                                  ipc::transport_name(transport) + "/" +
+                                  data_plane_name(plane);
+        EXPECT_EQ(ok_count.load(), 2) << label;
+        const RtExecCounters& e = server.exec_counters();
+        EXPECT_GT(e.shards_executed, 0) << label;
+        long histogram_sum = 0;
+        for (const long c : e.worker_shards) histogram_sum += c;
+        EXPECT_EQ(histogram_sum, e.shards_executed) << label;
+        // Every job is an engine job in both modes.
+        EXPECT_EQ(e.external_jobs, server.stats().jobs_run.load()) << label;
+        if (mode == ExecMode::kSerial) {
+          EXPECT_EQ(e.shards_executed, e.launches) << label;
+        }
+        if (plane == DataPlane::kStaged) {
+          EXPECT_GT(server.stats().bytes_copied.load(), 0) << label;
+        } else {
+          EXPECT_EQ(server.stats().bytes_copied.load(), 0) << label;
+        }
       }
     }
   }
