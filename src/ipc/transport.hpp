@@ -127,7 +127,11 @@ struct WaitConfig {
 class WaitStrategy {
  public:
   explicit WaitStrategy(WaitConfig config = {}) : config_(config) {
-    if (std::thread::hardware_concurrency() <= 1) config_.spin = 0;
+    // Read once per process: glibc answers hardware_concurrency() from
+    // sysfs on every call (microseconds), and a WaitStrategy is built on
+    // every ExecEngine::wait.
+    static const unsigned cpus = std::thread::hardware_concurrency();
+    if (cpus <= 1) config_.spin = 0;
   }
 
   /// Waits until `pred()` returns true. `doorbell` (optional) is parked on

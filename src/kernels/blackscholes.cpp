@@ -8,7 +8,11 @@
 
 namespace vgpu::kernels {
 
-float cnd(float d) {
+namespace {
+
+// The lower tail cnd(-|d|). Every step is sign-symmetric in d (fabs, d*d,
+// the exp argument), so cnd_tail(-d) == cnd_tail(d) bitwise.
+float cnd_tail(float d) {
   // Abramowitz & Stegun 26.2.17, as used by the CUDA SDK sample.
   constexpr float a1 = 0.31938153f;
   constexpr float a2 = -0.356563782f;
@@ -18,10 +22,15 @@ float cnd(float d) {
   constexpr float rsqrt2pi = 0.39894228040143267794f;
 
   const float k = 1.0f / (1.0f + 0.2316419f * std::fabs(d));
-  float c = rsqrt2pi * std::exp(-0.5f * d * d) *
-            (k * (a1 + k * (a2 + k * (a3 + k * (a4 + k * a5)))));
-  if (d > 0) c = 1.0f - c;
-  return c;
+  return rsqrt2pi * std::exp(-0.5f * d * d) *
+         (k * (a1 + k * (a2 + k * (a3 + k * (a4 + k * a5)))));
+}
+
+}  // namespace
+
+float cnd(float d) {
+  const float c = cnd_tail(d);
+  return d > 0 ? 1.0f - c : c;
 }
 
 long black_scholes_blocks(long n_options) {
@@ -45,8 +54,16 @@ void black_scholes_blocks(const OptionBatch& batch, std::span<float> call,
         (batch.volatility * sqrt_t);
     const float d2 = d1 - batch.volatility * sqrt_t;
     const float exp_rt = std::exp(-batch.riskfree * t);
-    call[i] = s * cnd(d1) - x * exp_rt * cnd(d2);
-    put[i] = x * exp_rt * cnd(-d2) - s * cnd(-d1);
+    // cnd(d) and cnd(-d) differ only in the final reflection: one tail
+    // (one exp) per d serves both, bitwise equal to four cnd() calls.
+    const float tail1 = cnd_tail(d1);
+    const float tail2 = cnd_tail(d2);
+    const float cnd_d1 = d1 > 0 ? 1.0f - tail1 : tail1;
+    const float cnd_d2 = d2 > 0 ? 1.0f - tail2 : tail2;
+    const float cnd_neg_d1 = d1 < 0 ? 1.0f - tail1 : tail1;
+    const float cnd_neg_d2 = d2 < 0 ? 1.0f - tail2 : tail2;
+    call[i] = s * cnd_d1 - x * exp_rt * cnd_d2;
+    put[i] = x * exp_rt * cnd_neg_d2 - s * cnd_neg_d1;
   }
 }
 

@@ -22,6 +22,8 @@ class Grid3 {
 
   int n() const { return n_; }
 
+  /// Periodic access, wrapping every index with `%`: for tests and setup
+  /// code. Point loops index rows of data() directly (see mg.cpp).
   double& at(int i, int j, int k) { return data_[index(i, j, k)]; }
   double at(int i, int j, int k) const { return data_[index(i, j, k)]; }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -482,6 +483,322 @@ TEST(Is, KeysAreDeterministicAndInRange) {
     EXPECT_GE(k, 0);
     EXPECT_LT(k, 100);
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Bitwise oracles: the library kernels against verbatim copies of their
+// straightforward reference loops. The library versions are rewritten for
+// speed (hoisted wraps, shared exp calls) but promise the same
+// floating-point operations in the same order, so outputs must match to the
+// bit — signed zeros included.
+// ---------------------------------------------------------------------------
+
+// Reference 27-point stencil: %-wrapping triple loop over (di, dj, dk).
+void ref_apply_stencil(const Stencil27& s, const Grid3& in, Grid3& out) {
+  const int n = in.n();
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      for (int k = 0; k < n; ++k) {
+        double faces = 0.0, edges = 0.0, corners = 0.0;
+        for (int di = -1; di <= 1; ++di) {
+          for (int dj = -1; dj <= 1; ++dj) {
+            for (int dk = -1; dk <= 1; ++dk) {
+              const int degree = std::abs(di) + std::abs(dj) + std::abs(dk);
+              if (degree == 0) continue;
+              const double v = in.at(i + di, j + dj, k + dk);
+              if (degree == 1) {
+                faces += v;
+              } else if (degree == 2) {
+                edges += v;
+              } else {
+                corners += v;
+              }
+            }
+          }
+        }
+        out.at(i, j, k) =
+            s.c0 * in.at(i, j, k) + s.c1 * faces + s.c2 * edges + s.c3 * corners;
+      }
+    }
+  }
+}
+
+void ref_resid(const Grid3& u, const Grid3& v, Grid3& r) {
+  Grid3 au(u.n());
+  ref_apply_stencil(mg_operator_a(), u, au);
+  const int n = u.n();
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      for (int k = 0; k < n; ++k) {
+        r.at(i, j, k) = v.at(i, j, k) - au.at(i, j, k);
+      }
+    }
+  }
+}
+
+void ref_psinv(const Grid3& r, Grid3& u) {
+  Grid3 sr(r.n());
+  ref_apply_stencil(mg_smoother_c(), r, sr);
+  const int n = r.n();
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      for (int k = 0; k < n; ++k) {
+        u.at(i, j, k) += sr.at(i, j, k);
+      }
+    }
+  }
+}
+
+void ref_rprj3(const Grid3& fine, Grid3& coarse) {
+  const int nc = coarse.n();
+  for (int i = 0; i < nc; ++i) {
+    for (int j = 0; j < nc; ++j) {
+      for (int k = 0; k < nc; ++k) {
+        const int fi = 2 * i, fj = 2 * j, fk = 2 * k;
+        double faces = 0.0, edges = 0.0, corners = 0.0;
+        for (int di = -1; di <= 1; ++di) {
+          for (int dj = -1; dj <= 1; ++dj) {
+            for (int dk = -1; dk <= 1; ++dk) {
+              const int degree = std::abs(di) + std::abs(dj) + std::abs(dk);
+              if (degree == 0) continue;
+              const double v = fine.at(fi + di, fj + dj, fk + dk);
+              if (degree == 1) {
+                faces += v;
+              } else if (degree == 2) {
+                edges += v;
+              } else {
+                corners += v;
+              }
+            }
+          }
+        }
+        coarse.at(i, j, k) = 0.5 * fine.at(fi, fj, fk) + 0.25 * faces +
+                             0.125 * edges + 0.0625 * corners;
+      }
+    }
+  }
+}
+
+void ref_interp(const Grid3& coarse, Grid3& fine) {
+  const int nc = coarse.n();
+  for (int i = 0; i < nc; ++i) {
+    for (int j = 0; j < nc; ++j) {
+      for (int k = 0; k < nc; ++k) {
+        for (int di = 0; di <= 1; ++di) {
+          for (int dj = 0; dj <= 1; ++dj) {
+            for (int dk = 0; dk <= 1; ++dk) {
+              double sum = 0.0;
+              int cnt = 0;
+              for (int ci = 0; ci <= di; ++ci) {
+                for (int cj = 0; cj <= dj; ++cj) {
+                  for (int ck = 0; ck <= dk; ++ck) {
+                    sum += coarse.at(i + ci, j + cj, k + ck);
+                    ++cnt;
+                  }
+                }
+              }
+              fine.at(2 * i + di, 2 * j + dj, 2 * k + dk) +=
+                  sum / static_cast<double>(cnt);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+void ref_vcycle_correct(const Grid3& r, Grid3& z) {
+  const int n = r.n();
+  z.fill(0.0);
+  if (n <= 4) {
+    ref_psinv(r, z);
+    return;
+  }
+  Grid3 rc(n / 2);
+  ref_rprj3(r, rc);
+  Grid3 zc(n / 2);
+  ref_vcycle_correct(rc, zc);
+  ref_interp(zc, z);
+  Grid3 rf(n);
+  ref_resid(z, r, rf);
+  ref_psinv(rf, z);
+}
+
+void ref_vcycle(Grid3& u, const Grid3& v) {
+  Grid3 r(u.n());
+  ref_resid(u, v, r);
+  Grid3 z(u.n());
+  ref_vcycle_correct(r, z);
+  const int n = u.n();
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      for (int k = 0; k < n; ++k) {
+        u.at(i, j, k) += z.at(i, j, k);
+      }
+    }
+  }
+}
+
+// Reference Black-Scholes: four cnd() calls per option.
+void ref_black_scholes(const OptionBatch& batch, std::span<float> call,
+                       std::span<float> put) {
+  for (std::size_t i = 0; i < batch.stock_price.size(); ++i) {
+    const float s = batch.stock_price[i];
+    const float x = batch.strike_price[i];
+    const float t = batch.years[i];
+    const float sqrt_t = std::sqrt(t);
+    const float d1 =
+        (std::log(s / x) +
+         (batch.riskfree + 0.5f * batch.volatility * batch.volatility) * t) /
+        (batch.volatility * sqrt_t);
+    const float d2 = d1 - batch.volatility * sqrt_t;
+    const float exp_rt = std::exp(-batch.riskfree * t);
+    call[i] = s * cnd(d1) - x * exp_rt * cnd(d2);
+    put[i] = x * exp_rt * cnd(-d2) - s * cnd(-d1);
+  }
+}
+
+bool same_bits(const Grid3& a, const Grid3& b) {
+  return a.n() == b.n() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Random values with full 53-bit mantissas spread over nine binades, so
+// reordering any two adds changes the rounding of some cells (uniform
+// draws alone lie on a 2^-52 grid, where short sums are exact). About one
+// cell in eight is +0.0 or -0.0, so sums that start from 0.0 and sums
+// that start from their first term can come out with different zero signs.
+Grid3 random_grid(int n, std::uint64_t seed) {
+  Grid3 g(n);
+  Rng rng(seed);
+  for (double& x : g.data()) {
+    const std::uint64_t pick = rng.next_below(16);
+    const int binade = static_cast<int>(rng.next_below(9)) - 4;
+    x = pick == 0   ? 0.0
+        : pick == 1 ? -0.0
+                    : std::ldexp(rng.uniform(-1.0, 1.0) / 3.0, binade);
+  }
+  return g;
+}
+
+// -0.0 everywhere except +0.0 where every coordinate is a multiple of 3:
+// isolated positive zeros surrounded by negative ones.
+Grid3 signed_zero_grid(int n) {
+  Grid3 g(n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      for (int k = 0; k < n; ++k) {
+        g.at(i, j, k) = (i % 3 == 0 && j % 3 == 0 && k % 3 == 0) ? 0.0 : -0.0;
+      }
+    }
+  }
+  return g;
+}
+
+// Runs the range one block at a time, last block first: every plane is
+// its own shard, in an order no serial loop would use.
+void reverse_blocks_for(long total, const RangeFn& fn) {
+  for (long b = total - 1; b >= 0; --b) fn(b, b + 1);
+}
+
+class MgOracle : public ::testing::TestWithParam<int> {
+ protected:
+  std::vector<Grid3> inputs(std::uint64_t seed) const {
+    return {random_grid(GetParam(), seed), signed_zero_grid(GetParam())};
+  }
+  const ParallelFor reverse_blocks_ = reverse_blocks_for;
+};
+
+TEST_P(MgOracle, StencilMatchesReferenceBitwise) {
+  const int n = GetParam();
+  for (const Stencil27& s : {mg_operator_a(), mg_smoother_c()}) {
+    for (const Grid3& in : inputs(11)) {
+      Grid3 want(n), serial(n), sharded(n);
+      ref_apply_stencil(s, in, want);
+      apply_stencil(s, in, serial);
+      apply_stencil(s, in, sharded, reverse_blocks_);
+      EXPECT_TRUE(same_bits(want, serial)) << "n=" << n << " c0=" << s.c0;
+      EXPECT_TRUE(same_bits(want, sharded)) << "n=" << n << " c0=" << s.c0;
+    }
+  }
+}
+
+TEST_P(MgOracle, RestrictionMatchesReferenceBitwise) {
+  const int n = GetParam();
+  for (const Grid3& fine : inputs(12)) {
+    Grid3 want(n / 2), serial(n / 2), sharded(n / 2);
+    ref_rprj3(fine, want);
+    mg_rprj3(fine, serial);
+    mg_rprj3(fine, sharded, reverse_blocks_);
+    EXPECT_TRUE(same_bits(want, serial)) << "n=" << n;
+    EXPECT_TRUE(same_bits(want, sharded)) << "n=" << n;
+  }
+}
+
+TEST_P(MgOracle, ProlongationMatchesReferenceBitwise) {
+  const int n = GetParam();
+  const Grid3 coarse_random = random_grid(n / 2, 13);
+  const Grid3 coarse_zeros = signed_zero_grid(n / 2);
+  for (const Grid3* coarse : {&coarse_random, &coarse_zeros}) {
+    for (const Grid3& fine : inputs(14)) {
+      Grid3 want = fine, serial = fine, sharded = fine;
+      ref_interp(*coarse, want);
+      mg_interp(*coarse, serial);
+      mg_interp(*coarse, sharded, reverse_blocks_);
+      EXPECT_TRUE(same_bits(want, serial)) << "n=" << n;
+      EXPECT_TRUE(same_bits(want, sharded)) << "n=" << n;
+    }
+  }
+}
+
+TEST_P(MgOracle, ChainedVcyclesMatchReferenceBitwise) {
+  const int n = GetParam();
+  const Grid3 v = mg_make_rhs(n);
+  for (const Grid3& u0 : inputs(15)) {
+    Grid3 want = u0, serial = u0, sharded = u0;
+    for (int it = 0; it < 3; ++it) {
+      ref_vcycle(want, v);
+      mg_vcycle(serial, v);
+      mg_vcycle(sharded, v, reverse_blocks_);
+      EXPECT_TRUE(same_bits(want, serial)) << "n=" << n << " it=" << it;
+      EXPECT_TRUE(same_bits(want, sharded)) << "n=" << n << " it=" << it;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, MgOracle, ::testing::Values(2, 4, 8, 16, 32));
+
+TEST(BlackScholesOracle, MatchesFourCndReferenceBitwise) {
+  std::vector<float> s, x, t;
+  Rng rng(21);
+  for (int i = 0; i < 20000; ++i) {
+    s.push_back(static_cast<float>(rng.uniform(5.0, 30.0)));
+    x.push_back(static_cast<float>(rng.uniform(1.0, 100.0)));
+    t.push_back(static_cast<float>(rng.uniform(0.25, 10.0)));
+  }
+  // Edge cases: at the money, vanishing and huge spot, vanishing expiry.
+  const float edge_s[] = {10.0f, 1e-30f, 1e30f, 10.0f, 1e-30f, 1e30f};
+  const float edge_x[] = {10.0f, 10.0f, 10.0f, 20.0f, 1e-30f, 1e30f};
+  const float edge_t[] = {1.0f, 1.0f, 1.0f, 1e-20f, 1e-20f, 1e-20f};
+  for (std::size_t i = 0; i < std::size(edge_s); ++i) {
+    s.push_back(edge_s[i]);
+    x.push_back(edge_x[i]);
+    t.push_back(edge_t[i]);
+  }
+  const std::size_t n = s.size();
+  const OptionBatch batch{s, x, t, 0.02f, 0.30f};
+  std::vector<float> want_call(n), want_put(n), call(n), put(n);
+  ref_black_scholes(batch, want_call, want_put);
+  black_scholes(batch, call, put);
+  EXPECT_TRUE(same_bits(want_call, call));
+  EXPECT_TRUE(same_bits(want_put, put));
 }
 
 }  // namespace
